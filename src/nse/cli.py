@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .estimator import prepare_scale, two_pass_estimate
 from .grid import build_pixelization, read_map, write_map, map_matches_grid
 from .harmonics import Alm, band_kernel, forward_sht, inverse_sht
 from .mc import Experiment, run_experiment, write_results_csv, write_summary_csv
-from .model import SeededRng, spectrum_values, synthesize_field
-from .needlet import make_scale, needlet_coeffs_of_sequence, needlet_norm_identity_check
+from .model import SeededRng, observe, replicate_field
+from .needlet import grid_order, make_scale, needlet_coeffs_of_sequence, needlet_norm_identity_check
 from .window import partition_sum
 
 PROFILE_POINTS = 1025
@@ -51,10 +52,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = _replace_seed(cfg, args.seed)
+            cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             out = args.out if os.path.isabs(args.out) else os.path.abspath(args.out)
-            cfg = _replace_out(cfg, out)
+            cfg = replace(cfg, out=out)
 
         if args.command == "validate" or args.validate:
             failures = run_validation(cfg)
@@ -80,18 +81,6 @@ def main(argv=None) -> int:
     except (ConfigError, NseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _replace_seed(cfg: Config, seed: int) -> Config:
-    from dataclasses import replace
-
-    return replace(cfg, seed=seed)
-
-
-def _replace_out(cfg: Config, out: str) -> Config:
-    from dataclasses import replace
-
-    return replace(cfg, out=out)
 
 
 def run_validation(cfg: Config) -> list:
@@ -128,7 +117,7 @@ def run_validation(cfg: Config) -> list:
             print("PASS " + line)
 
     for j in cfg.scales[:2]:
-        scale = make_scale(fam, j, order=min(4 * fam.band_lmax(j), cfg.order_cap))
+        scale = make_scale(fam, j, order=grid_order(fam, j, cfg.order_cap))
         probes = range(0, scale.pix.npoints, max(1, scale.pix.npoints // 32))
         err = 0.0
         for k in probes:
@@ -200,21 +189,15 @@ def cmd_synth(cfg: Config) -> None:
     os.makedirs(cfg.out, exist_ok=True)
     rng = SeededRng(cfg.seed)
     fam = cfg.fam
-    lmax_top = max(cfg.scen.sim_lmax(j, fam.band_lmax(j)) for j in cfg.scales)
-    C_top = spectrum_values(cfg.model, 0, lmax_top)
-    alm = synthesize_field(C_top, lmax_top, rng.stream(0, "field"))
+    alm = replicate_field(cfg.model, cfg.scen, fam, cfg.scales, rng, 0)
     for j in cfg.scales:
-        band_lmax = fam.band_lmax(j)
-        scale = make_scale(fam, j, order=min(4 * band_lmax, cfg.order_cap))
+        scale = make_scale(fam, j, order=grid_order(fam, j, cfg.order_cap))
         pix = scale.pix
-        lj = cfg.scen.sim_lmax(j, band_lmax)
-        alm_j = alm.truncated(lj)
-        alm_j.c *= cfg.scen.beam_profile(j, band_lmax)[: lj + 1][:, None]
         W = cfg.scen.mask_map(j, pix)
         sigma = cfg.scen.noise_map(j, pix)
-        x = inverse_sht(alm_j, pix)
-        u = rng.stream(0, f"noise.j{j}").standard_normal(pix.npoints)
-        maps = {"WX": W * x, "Wsigma": W * sigma, "WZ": W * sigma * u, "Y": W * (x + sigma * u)}
+        alm_j = cfg.scen.beamed(alm, j, scale.band_lmax)
+        y, x, u = observe(alm_j, pix, W, sigma, rng.stream(0, f"noise.j{j}"))
+        maps = {"WX": W * x, "Wsigma": W * sigma, "WZ": W * sigma * u, "Y": y}
         for name, values in maps.items():
             write_map(os.path.join(cfg.out, f"j{j}_{name}.map"), pix, values)
     print(f"wrote {4 * len(cfg.scales)} maps to {cfg.out}")
@@ -229,7 +212,7 @@ def cmd_estimate(cfg: Config, maps_dir: str | None) -> None:
         if not os.path.exists(path):
             raise ConfigError(f"scale {j}: missing map file {path}")
         header, values, theta, phi, lam = read_map(path)
-        order = min(4 * cfg.fam.band_lmax(j), cfg.order_cap)
+        order = grid_order(cfg.fam, j, cfg.order_cap)
         plan = prepare_scale(cfg.fam, j, cfg.scen, cfg.model, cfg.est, order=order)
         if not map_matches_grid(header, theta, phi, lam, plan.scale.pix):
             raise ConfigError(f"scale {j}: map {path} does not match the order-{order} grid")

@@ -105,16 +105,9 @@ def target_cj(fam: WindowFamily, j: int, C: np.ndarray) -> float:
     return float(np.sum((2 * ell + 1) * b * b * C[: len(b)]) / FOUR_PI)
 
 
-def _effective_sigma(scale: NeedletScale, scen: Scenario):
-    W = scen.mask_map(scale.j, scale.pix)
-    sigma = scen.noise_map(scale.j, scale.pix)
-    return W, sigma
-
-
-def noise_levels(scale: NeedletScale, scen: Scenario) -> np.ndarray:
+def noise_levels(scale: NeedletScale, W: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Noise sd of each coefficient, n_k = (sum_p lam_p^2 (W sigma)_p^2
     K(xi_k . xi_p))^(1/2), via two transforms on the scale grid."""
-    W, sigma = _effective_sigma(scale, scen)
     point_map = (scale.pix.lam * W * sigma) ** 2
     if not point_map.any():
         return np.zeros(scale.pix.npoints)
@@ -123,20 +116,18 @@ def noise_levels(scale: NeedletScale, scen: Scenario) -> np.ndarray:
     return np.sqrt(np.clip(h, 0.0, None))
 
 
-def noise_levels_direct(scale: NeedletScale, scen: Scenario) -> np.ndarray:
+def noise_levels_direct(scale: NeedletScale, W: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Quadratic-cost reference for noise_levels (testing only)."""
-    W, sigma = _effective_sigma(scale, scen)
     weights = (scale.pix.lam * W * sigma) ** 2
     return np.sqrt(_pairwise_sum(scale, weights))
 
 
-def mask_functional(scale: NeedletScale, scen: Scenario) -> np.ndarray:
+def mask_functional(scale: NeedletScale, W: np.ndarray) -> np.ndarray:
     """Leakage level m_k = (sum_p lam_p (1-W_p)^2 psi_k(xi_p)^2)^(1/2).
 
     Zero where the needlet never touches the masked region; comparable to
     the scale's norm constant where it sits inside it.
     """
-    W = scen.mask_map(scale.j, scale.pix)
     point_map = scale.pix.lam * (1.0 - W) ** 2
     if not point_map.any():
         return np.zeros(scale.pix.npoints)
@@ -144,9 +135,8 @@ def mask_functional(scale: NeedletScale, scen: Scenario) -> np.ndarray:
     return np.sqrt(np.clip(scale.pix.lam * h, 0.0, None))
 
 
-def mask_functional_direct(scale: NeedletScale, scen: Scenario) -> np.ndarray:
+def mask_functional_direct(scale: NeedletScale, W: np.ndarray) -> np.ndarray:
     """Quadratic-cost reference for mask_functional (testing only)."""
-    W = scen.mask_map(scale.j, scale.pix)
     weights = scale.pix.lam * (1.0 - W) ** 2
     return np.sqrt(scale.pix.lam * _pairwise_sum(scale, weights))
 
@@ -163,17 +153,11 @@ def _pairwise_sum(scale: NeedletScale, point_weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def kept_set(
-    scale: NeedletScale,
-    scen: Scenario,
-    t_j: float,
-    functional: np.ndarray | None = None,
-) -> np.ndarray:
+def kept_set(functional: np.ndarray, t_j: float) -> np.ndarray:
     """Indices whose mask functional does not exceed t_j."""
     if t_j < 0:
         raise InvalidParameter(f"threshold must be nonnegative, got {t_j}")
-    m = mask_functional(scale, scen) if functional is None else functional
-    return np.nonzero(m <= t_j)[0]
+    return np.nonzero(functional <= t_j)[0]
 
 
 def quantile_threshold(functional: np.ndarray, q: float) -> float:
@@ -231,12 +215,15 @@ def relative_mse(estimates: np.ndarray, target: float) -> float:
 class ScalePlan:
     """Replicate-independent state for one (scale, scenario) pair.
 
-    Noise levels, the mask functional, the threshold, and the kept set
-    depend only on the scenario, so the runner builds them once and reuses
-    them across replicates.
+    The mask W, the noise levels sigma and what follows from them (n, the
+    mask functional, the threshold, the kept set) depend only on the
+    scenario, so the runner builds them once and reuses them across
+    replicates.  W and sigma are read-only: replicate threads share them.
     """
 
     scale: NeedletScale
+    W: np.ndarray
+    sigma: np.ndarray
     threshold: float
     n: np.ndarray
     functional: np.ndarray
@@ -257,16 +244,22 @@ def prepare_scale(
     order: int | None = None,
 ) -> ScalePlan:
     scale = make_scale(fam, j, order=order)
-    n = noise_levels(scale, scen)
-    m = mask_functional(scale, scen)
+    W = scen.mask_map(j, scale.pix)
+    sigma = scen.noise_map(j, scale.pix)
+    W.flags.writeable = False
+    sigma.flags.writeable = False
+    n = noise_levels(scale, W, sigma)
+    m = mask_functional(scale, W)
     if cfg.threshold_mode == "quantile":
         t_j = quantile_threshold(m, cfg.q)
     else:
         t_j = cfg.threshold(fam.B, j)
-    kept = kept_set(scale, scen, t_j, functional=m)
+    kept = kept_set(m, t_j)
     C = spectrum_values(model, j, scale.band_lmax)
     return ScalePlan(
         scale=scale,
+        W=W,
+        sigma=sigma,
         threshold=t_j,
         n=n,
         functional=m,

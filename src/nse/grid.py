@@ -72,9 +72,6 @@ class Pixelization:
         self.phi_k = np.tile(self.phi, self.n_rings)
         self._legendre_cache = {}
 
-    def ring_of(self, k) -> np.ndarray:
-        return np.asarray(k) // self.n_phi
-
     def __eq__(self, other):
         return (
             isinstance(other, Pixelization)
@@ -82,9 +79,6 @@ class Pixelization:
             and self.n_phi == other.n_phi
             and np.array_equal(self.theta, other.theta)
         )
-
-    def __hash__(self):
-        return hash((self.order, self.n_phi, self.n_rings))
 
 
 def build_pixelization(order: int) -> Pixelization:
@@ -145,37 +139,45 @@ def write_map(path, pix: Pixelization, values: np.ndarray) -> None:
 
 
 def read_map(path):
-    """Read a map file; returns (header dict, values array, theta, phi, lam)."""
+    """Read a map file; returns (header dict, values array, theta, phi, lam).
+
+    The leading `#key value` lines are the header; the rest is parsed in one
+    call and must hold finite numbers only.
+    """
     header = {}
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(" ")
-                try:
-                    header[key] = int(val)
-                except ValueError as exc:
-                    raise InvalidParameter(f"map file {path}: bad header line {line!r}") from exc
-                continue
+        while True:
+            body_start = fh.tell()
+            line = fh.readline().strip()
+            if not line.startswith("#"):
+                break
+            key, _, val = line[1:].partition(" ")
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                header[key] = int(val)
             except ValueError as exc:
-                raise InvalidParameter(f"map file {path}: bad data line {line!r}") from exc
+                raise InvalidParameter(f"map file {path}: bad header line {line!r}") from exc
+        fh.seek(body_start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise InvalidParameter(f"map file {path}: bad data line: {exc}") from exc
     for key in ("order", "nrings", "nphi"):
         if key not in header:
             raise ShapeMismatch(f"map file {path} missing header line #{key}")
-    data = np.asarray(rows, dtype=float)
     expected = header["nrings"] * header["nphi"]
     if len(data) != expected:
         raise ShapeMismatch(
             f"map file {path} has {len(data)} rows, header promises {expected}"
         )
+    if data.shape[1] != 5:
+        raise InvalidParameter(f"map file {path}: rows have {data.shape[1]} fields, need 5")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise InvalidParameter(f"map file {path}: non-finite value in row {np.argmin(finite)}")
     if np.any(data[:, 0].astype(int) != np.arange(expected)):
         raise ShapeMismatch(f"map file {path} rows out of order")
-    return header, data[:, 4], data[:, 1], data[:, 2], data[:, 3]
+    theta, phi, lam, values = (data[:, c].copy() for c in range(1, 5))
+    return header, values, theta, phi, lam
 
 
 def map_matches_grid(header, theta, phi, lam, pix: Pixelization, tol: float = 1e-12) -> bool:

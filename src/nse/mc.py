@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .errors import DegenerateSample, InvalidParameter, NseError
-from .estimator import EstimatorConfig, ScalePlan, prepare_scale, relative_mse, two_pass_estimate
-from .model import Scenario, SeededRng, SpectrumModel, observe, spectrum_values, synthesize_field
-from .needlet import needlet_coeffs_of_sequence
+from .errors import ConventionViolation, DegenerateSample, InvalidParameter, NseError
+from .estimator import EstimatorConfig, prepare_scale, relative_mse, two_pass_estimate
+from .model import Scenario, SeededRng, SpectrumModel, observe, replicate_field
+from .needlet import grid_order, needlet_coeffs_of_sequence
 from .window import WindowFamily
 
 # scale-grid orders are capped here; beyond it the default 4x band limit
@@ -67,31 +67,25 @@ class DiagnosticsRow:
 
 
 def build_plans(exp: Experiment) -> dict:
-    plans = {}
-    for j in exp.scales:
-        band_lmax = exp.fam.band_lmax(j)
-        order = min(4 * band_lmax, exp.order_cap)
-        plans[j] = prepare_scale(exp.fam, j, exp.scen, exp.model, exp.cfg, order=order)
-    return plans
+    return {
+        j: prepare_scale(exp.fam, j, exp.scen, exp.model, exp.cfg,
+                         order=grid_order(exp.fam, j, exp.order_cap))
+        for j in exp.scales
+    }
 
 
 def _replicate_rows(exp: Experiment, plans: dict, rng: SeededRng, r: int):
-    lmax_top = max(
-        exp.scen.sim_lmax(j, plans[j].scale.band_lmax) for j in exp.scales
-    )
-    C_top = spectrum_values(exp.model, 0, lmax_top)
-    alm = synthesize_field(C_top, lmax_top, rng.stream(r, "field"))
+    alm = replicate_field(exp.model, exp.scen, exp.fam, exp.scales, rng, r)
     rows = []
     for j in exp.scales:
         plan = plans[j]
-        lj = exp.scen.sim_lmax(j, plan.scale.band_lmax)
-        profile = exp.scen.beam_profile(j, plan.scale.band_lmax)
-        alm_j = alm.truncated(lj)
-        alm_j.c *= profile[: lj + 1][:, None]
+        alm_j = exp.scen.beamed(alm, j, plan.scale.band_lmax)
         try:
-            samples = observe(alm_j, plan.scale.pix, exp.scen, j, rng.stream(r, f"noise.j{j}"))
+            samples = observe(alm_j, plan.scale.pix, plan.W, plan.sigma, rng.stream(r, f"noise.j{j}"))[0]
             gamma = needlet_coeffs_of_sequence(samples, plan.scale)
             est = two_pass_estimate(gamma, plan, exp.cfg)
+        except ConventionViolation:
+            raise  # a broken numerical contract ends the run
         except NseError:
             continue  # missing row; the run keeps going
         rows.append((j, r, est.c_hat, est.c_target, est.kept_count, est.mode))
@@ -102,7 +96,8 @@ def run_experiment(exp: Experiment, threads: int = 1):
     """All replicates of all scales; returns (result rows, summary rows).
 
     Result rows are (j, replicate, c_hat, c_target, kept_count, mode),
-    sorted by (j, replicate).  Estimator failures drop their (j, r) row.
+    sorted by (j, replicate).  Estimator failures drop their (j, r) row;
+    a ConventionViolation propagates.
     """
     plans = build_plans(exp)
     rng = SeededRng(exp.seed)

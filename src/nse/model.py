@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidParameter, ShapeMismatch
 from .grid import Pixelization, read_map, map_matches_grid
 from .harmonics import Alm, inverse_sht
+from .window import WindowFamily
 
 G_KINDS = ("constant", "modulated")
 
@@ -150,7 +151,10 @@ class MaskSpec:
             dot = np.clip(pix.xyz @ c, -1.0, 1.0)
             return (np.arccos(dot) <= self.radius).astype(float)
         if self.kind == "file":
-            return _load_map_for(pix, self.path)
+            out = _load_map_for(pix, self.path)
+            if np.any((out < 0.0) | (out > 1.0)):
+                raise InvalidParameter(f"mask map {self.path} has values outside [0, 1]")
+            return out
         raise InvalidParameter(f"unknown mask kind {self.kind!r}")
 
 
@@ -179,8 +183,8 @@ class NoiseSpec:
             out = _load_map_for(pix, self.path)
         else:
             raise InvalidParameter(f"unknown noise kind {self.kind!r}")
-        if np.any(out < 0):
-            raise InvalidParameter("noise levels must be nonnegative")
+        if not np.all(np.isfinite(out) & (out >= 0)):
+            raise InvalidParameter("noise levels must be finite and nonnegative")
         return out
 
 
@@ -245,11 +249,27 @@ class Scenario:
         L = self.beam_degree(j, band_lmax)
         return 2 * L if self.beam == "cosine" else L
 
+    def beamed(self, alm: Alm, j: int, band_lmax: int) -> Alm:
+        """The field as scale j sees it: truncated to sim_lmax(j) and
+        multiplied by the beam profile."""
+        lj = self.sim_lmax(j, band_lmax)
+        return apply_band_limit(alm, self.beam_profile(j, band_lmax)[: lj + 1])
 
-def observe(alm_j: Alm, pix: Pixelization, scen: Scenario, j: int, rng: np.random.Generator) -> np.ndarray:
-    """Y_k = W_k (X_j(xi_k) + sigma_k U_k) on the scale grid."""
-    W = scen.mask_map(j, pix)
-    sigma = scen.noise_map(j, pix)
+
+def replicate_field(model: SpectrumModel, scen: Scenario, fam: WindowFamily, scales, rng: SeededRng, r: int) -> Alm:
+    """Replicate r's field: one draw at the largest degree any of the scales
+    simulates, shared by all of them."""
+    lmax_top = max(scen.sim_lmax(j, fam.band_lmax(j)) for j in scales)
+    C_top = spectrum_values(model, 0, lmax_top)
+    return synthesize_field(C_top, lmax_top, rng.stream(r, "field"))
+
+
+def observe(alm_j: Alm, pix: Pixelization, W: np.ndarray, sigma: np.ndarray, rng: np.random.Generator):
+    """Observe the scale-limited field alm_j through mask W and noise levels sigma.
+
+    Returns (Y, X, U): the observation Y_k = W_k (X_k + sigma_k U_k), the
+    field X_k = X_j(xi_k) at the grid points and the unit noise draw U_k.
+    """
     x = inverse_sht(alm_j, pix)
     u = rng.standard_normal(pix.npoints)
-    return W * (x + sigma * u)
+    return W * (x + sigma * u), x, u

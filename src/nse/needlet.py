@@ -47,6 +47,12 @@ class NeedletScale:
         return float(np.sum(self.window ** 2 * (2 * ell + 1)) / FOUR_PI)
 
 
+def grid_order(fam: WindowFamily, j: int, order_cap: int) -> int:
+    """Grid order the runner uses for scale j: four times the band limit,
+    capped at order_cap."""
+    return min(4 * fam.band_lmax(j), order_cap)
+
+
 def make_scale(fam: WindowFamily, j: int, order: int | None = None) -> NeedletScale:
     """Build scale j with its grid (default order 4 * band limit)."""
     table = fam.table(j)

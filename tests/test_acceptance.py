@@ -171,7 +171,7 @@ def test_05_covariance_oracles():
     assert worst < 4.0
 
     # the per-coefficient noise sd squares to the covariance diagonal
-    n = noise_levels(scale, CAP_SCEN)
+    n = noise_levels(scale, W, CAP_SCEN.noise_map(3, pix))
     spots = picker.choice(pix.npoints, size=25, replace=False)
     diag_err = max(
         abs(n[k] ** 2 - noise_covariance(scale, sigma_eff, k, k)) for k in spots
@@ -206,7 +206,7 @@ def test_07_bias_shrinks_with_threshold():
     base = prepare_scale(FAM, 5, CAP_SCEN, MODEL, cfg)
     plans = [
         replace(base, threshold=t,
-                kept=kept_set(base.scale, CAP_SCEN, t, functional=base.functional))
+                kept=kept_set(base.functional, t))
         for t in thresholds
     ]
     assert all(len(p.kept) > 0 for p in plans)
@@ -218,7 +218,7 @@ def test_07_bias_shrinks_with_threshold():
     sums = np.zeros(len(plans))
     for r in range(R):
         alm = synthesize_field(C_top, lmax, seeded.stream(r, "field"))
-        y = observe(alm, base.scale.pix, CAP_SCEN, 5, seeded.stream(r, "noise.j5"))
+        y = observe(alm, base.scale.pix, base.W, base.sigma, seeded.stream(r, "noise.j5"))[0]
         gamma = needlet_coeffs_of_sequence(y, base.scale)
         for i, plan in enumerate(plans):
             sums[i] += two_pass_estimate(gamma, plan, cfg).c_hat

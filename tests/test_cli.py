@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from nse.cli import main
-from nse.grid import read_map
+from nse.errors import ConventionViolation
+from nse.grid import read_map, write_map
+from nse.needlet import make_scale
 from nse.window import build_windows
 
 HERE = os.path.dirname(__file__)
@@ -206,6 +208,66 @@ def test_estimate_reproduces_first_mc_replicate(tmp_path):
     _, mc_rows = csv_rows(os.path.join(mc_out, "results.csv"))
     first = [r for r in mc_rows if r[1] == "0"]
     assert est_rows == first
+
+
+def test_mc_exits_3_on_a_convention_violation(tmp_path, capsys, monkeypatch):
+    def broken(samples, scale):
+        raise ConventionViolation("malformed coefficient set")
+
+    monkeypatch.setattr("nse.mc.needlet_coeffs_of_sequence", broken)
+    cfg = write(tmp_path, SMALL)
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "mc")]) == 3
+    assert "numerical contract violated" in capsys.readouterr().err
+
+
+def file_scenario_config(tmp_path, mask, noise):
+    """SMALL at scale 3 only, with its mask and noise read from map files."""
+    pix = make_scale(build_windows(2.0, 5, 0, 4, "tight"), 3).pix
+    write_map(tmp_path / "mask.map", pix, np.full(pix.npoints, mask))
+    write_map(tmp_path / "noise.map", pix, np.full(pix.npoints, noise))
+    text = SMALL.replace("scales = 3-4", "scales = 3") + textwrap.dedent("""
+        [scenario]
+        schedule = F:3-3
+
+        [mask.F]
+        kind = file
+        path = mask.map
+
+        [noise.F]
+        kind = file
+        path = noise.map
+        """)
+    return write(tmp_path, text)
+
+
+def test_mc_reads_file_maps(tmp_path):
+    cfg = file_scenario_config(tmp_path, 1.0, 0.2)
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "mc")]) == 0
+
+
+@pytest.mark.parametrize("mask, noise, what", [
+    (1.0, math.nan, "non-finite"),
+    (1.5, 0.2, "outside [0, 1]"),
+])
+def test_mc_rejects_bad_file_maps(tmp_path, capsys, mask, noise, what):
+    cfg = file_scenario_config(tmp_path, mask, noise)
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "mc")]) == 2
+    assert what in capsys.readouterr().err
+
+
+def test_estimate_rejects_non_finite_observation(tmp_path, capsys):
+    cfg = write(tmp_path, OBSERVED)
+    maps = str(tmp_path / "maps")
+    assert main(["synth", "--config", cfg, "--out", maps]) == 0
+    path = os.path.join(maps, "j3_Y.map")
+    with open(path) as f:
+        lines = f.read().splitlines(keepends=True)
+    lines[10] = lines[10].rsplit(",", 1)[0] + ",inf\n"
+    with open(path, "w") as f:
+        f.writelines(lines)
+    rc = main(["estimate", "--config", cfg, "--out", str(tmp_path / "e"), "--maps", maps])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_mc_thread_count_does_not_change_output(tmp_path):

@@ -50,19 +50,21 @@ def test_target_cj_scaling_ratio(fam, C_256):
 # ------------------------------------------------------------ noise levels
 
 def test_noise_levels_zero_sigma(scale3, full_scen):
-    assert np.max(noise_levels(scale3, full_scen)) == 0.0
+    pix = scale3.pix
+    assert np.max(noise_levels(scale3, full_scen.mask_map(3, pix), full_scen.noise_map(3, pix))) == 0.0
 
 
 def test_noise_levels_match_direct_path(scale3, cap_scen):
-    fast = noise_levels(scale3, cap_scen)
-    slow = noise_levels_direct(scale3, cap_scen)
+    W, sig = cap_scen.mask_map(3, scale3.pix), cap_scen.noise_map(3, scale3.pix)
+    fast = noise_levels(scale3, W, sig)
+    slow = noise_levels_direct(scale3, W, sig)
     assert np.max(np.abs(fast - slow)) < 1e-9 * np.max(slow)
 
 
 def test_noise_levels_constant_sigma_form(scale3):
     scen = Scenario(schedule=((0, 99, MaskSpec(kind="full_sky"),
                                NoiseSpec(kind="constant", sigma=0.3)),))
-    n = noise_levels(scale3, scen)
+    n = noise_levels(scale3, scen.mask_map(3, scale3.pix), scen.noise_map(3, scale3.pix))
     lam = scale3.pix.lam
     # n_k^2 = sigma^2 / lam_k * sum_p lam_p^2 psi_k(xi_p)^2; spot check
     from nse.needlet import eval_needlet
@@ -74,9 +76,9 @@ def test_noise_levels_constant_sigma_form(scale3):
 
 
 def test_noise_squared_equals_covariance_diagonal(scale3, cap_scen):
-    n = noise_levels(scale3, cap_scen)
     W = cap_scen.mask_map(3, scale3.pix)
     sig = cap_scen.noise_map(3, scale3.pix)
+    n = noise_levels(scale3, W, sig)
     rng = np.random.default_rng(0)
     for k in rng.integers(0, scale3.pix.npoints, size=25):
         want = noise_covariance(scale3, W * sig, int(k), int(k))
@@ -86,23 +88,24 @@ def test_noise_squared_equals_covariance_diagonal(scale3, cap_scen):
 # ---------------------------------------------------------------- kept set
 
 def test_kept_set_full_sky_keeps_all(scale3, full_scen):
-    kept = kept_set(scale3, full_scen, 0.0)
+    kept = kept_set(mask_functional(scale3, full_scen.mask_map(3, scale3.pix)), 0.0)
     assert len(kept) == scale3.pix.npoints
 
 
 def test_kept_set_fully_masked_is_empty(scale3):
     dark = Scenario(schedule=((0, 99, MaskSpec(kind="polar_cap", theta_cut=4.0),
                                NoiseSpec(kind="constant", sigma=0.0)),))
-    assert len(kept_set(scale3, dark, 1e-3)) == 0
+    assert len(kept_set(mask_functional(scale3, dark.mask_map(3, scale3.pix)), 1e-3)) == 0
 
 
 def test_kept_set_polar_cap_geometry(scale5, cap_scen):
     # kept fraction sits strictly inside (0, 1) at the working threshold
-    kept = kept_set(scale5, cap_scen, 0.05)
+    m = mask_functional(scale5, cap_scen.mask_map(5, scale5.pix))
+    kept = kept_set(m, 0.05)
     frac = len(kept) / scale5.pix.npoints
     assert 0.0 < frac < 1.0
     # tightening the threshold clears the cap and its rim entirely
-    tight = kept_set(scale5, cap_scen, 0.02)
+    tight = kept_set(m, 0.02)
     assert 0 < len(tight) < len(kept)
     north = np.array([0.0, 0.0, 1.0])
     for k in tight:
@@ -111,15 +114,16 @@ def test_kept_set_polar_cap_geometry(scale5, cap_scen):
 
 
 def test_kept_set_threshold_monotone(scale4, cap_scen):
-    m = mask_functional(scale4, cap_scen)
-    k1 = kept_set(scale4, cap_scen, 0.05, functional=m)
-    k2 = kept_set(scale4, cap_scen, 0.2, functional=m)
+    m = mask_functional(scale4, cap_scen.mask_map(4, scale4.pix))
+    k1 = kept_set(m, 0.05)
+    k2 = kept_set(m, 0.2)
     assert set(k1.tolist()) <= set(k2.tolist())
 
 
 def test_mask_functional_matches_direct(scale3, cap_scen):
-    fast = mask_functional(scale3, cap_scen)
-    slow = mask_functional_direct(scale3, cap_scen)
+    W = cap_scen.mask_map(3, scale3.pix)
+    fast = mask_functional(scale3, W)
+    slow = mask_functional_direct(scale3, W)
     assert np.max(np.abs(fast - slow)) < 1e-9 * np.max(slow)
 
 
@@ -340,7 +344,7 @@ def test_mle_beats_uniform_under_heteroscedastic_noise(fam, model3):
     est_m = np.empty(R)
     for r in range(R):
         alm = synthesize_field(C, lmax, rng.stream(r, "field"))
-        y = observe(alm, plan.scale.pix, scen, 3, rng.stream(r, "noise.j3"))
+        y = observe(alm, plan.scale.pix, plan.W, plan.sigma, rng.stream(r, "noise.j3"))[0]
         gamma = needlet_coeffs_of_sequence(y, plan.scale)
         est_u[r] = two_pass_estimate(gamma, plan, cfg_u).c_hat
         est_m[r] = two_pass_estimate(gamma, plan, cfg_m).c_hat

@@ -169,3 +169,30 @@ def test_read_map_rejects_malformed_header(tmp_path):
     p.write_text("#order x\n#nrings 3\n#nphi 9\n0,0.1,0.2,0.3,0.4\n")
     with pytest.raises(InvalidParameter):
         read_map(p)
+
+
+def test_map_file_round_trip_at_order_512(tmp_path):
+    pix = build_pixelization(512)
+    values = np.random.default_rng(8).normal(size=pix.npoints) * np.logspace(-150, 150, pix.npoints)
+    path = tmp_path / "fine.map"
+    write_map(path, pix, values)
+    header, vals, theta, phi, lam = read_map(path)
+    assert header == {"order": 512, "nrings": pix.n_rings, "nphi": pix.n_phi}
+    assert np.array_equal(vals, values)
+    assert np.array_equal(theta, pix.theta_k)
+    assert np.array_equal(phi, pix.phi_k)
+    assert np.array_equal(lam, pix.lam)
+
+
+@pytest.mark.parametrize("row", [
+    "1,0.1,0.2,0.3,x",  # unparsable number
+    "1,0.1,0.2,0.3",  # missing field
+    "1,0.1,0.2,0.3,0.4,0.5",  # extra field
+    "1,0.1,0.2,0.3,nan",  # non-finite value
+    "1,0.1,inf,0.3,0.4",  # non-finite geometry
+])
+def test_read_map_rejects_malformed_data_line(tmp_path, row):
+    p = tmp_path / "broken.map"
+    p.write_text(f"#order 0\n#nrings 1\n#nphi 2\n0,0.1,0.2,0.3,0.4\n{row}\n")
+    with pytest.raises(InvalidParameter):
+        read_map(p)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nse.errors import DegenerateSample, InvalidParameter
+from nse.errors import ConventionViolation, DegenerateSample, InvalidParameter
+from nse.grid import read_map, write_map
 from nse.estimator import EstimatorConfig, two_pass_estimate
 from nse.mc import (
     Experiment,
@@ -19,7 +20,7 @@ from nse.mc import (
     write_summary_csv,
 )
 from nse.model import MaskSpec, NoiseSpec, Scenario, SeededRng, spectrum_values, synthesize_field
-from nse.needlet import needlet_coeffs_of_sequence
+from nse.needlet import make_scale, needlet_coeffs_of_sequence
 from nse.model import observe
 
 
@@ -76,7 +77,7 @@ def test_rows_reproducible_from_documented_streams(fam, model3, hemi_scen):
             alm = synthesize_field(C_top, lmax_top, rng.stream(r, "field")).truncated(lj)
             prof = exp.scen.beam_profile(j, plan.scale.band_lmax)[: lj + 1]
             alm.c *= prof[:, None]
-            y = observe(alm, plan.scale.pix, exp.scen, j, rng.stream(r, f"noise.j{j}"))
+            y = observe(alm, plan.scale.pix, plan.W, plan.sigma, rng.stream(r, f"noise.j{j}"))[0]
             gamma = needlet_coeffs_of_sequence(y, plan.scale)
             est = two_pass_estimate(gamma, plan, exp.cfg)
             row = next(t for t in rows if t[0] == j and t[1] == r)
@@ -100,6 +101,41 @@ def test_failed_scale_drops_rows_and_run_continues(fam, model3):
     assert math.isnan(dead.mean) and math.isnan(dead.var) and math.isnan(dead.bias)
     alive = summary[0]
     assert math.isfinite(alive.mean) and math.isfinite(alive.bias)
+
+
+def test_convention_violation_ends_the_run(fam, model3, full_scen, monkeypatch):
+    def broken(samples, scale):
+        raise ConventionViolation("malformed coefficient set")
+
+    monkeypatch.setattr("nse.mc.needlet_coeffs_of_sequence", broken)
+    with pytest.raises(ConventionViolation):
+        run_experiment(small_experiment(fam, model3, full_scen))
+
+
+@pytest.mark.parametrize("R", [2, 6])
+def test_file_maps_read_once_per_scale(fam, model3, tmp_path, monkeypatch, R):
+    # the plan holds W and sigma: two reads per scale, whatever R is
+    schedule = []
+    for j in (3, 4):
+        pix = make_scale(fam, j).pix
+        paths = []
+        for what, values in (("mask", (pix.theta_k > 0.5).astype(float)),
+                             ("noise", 0.1 + 0.2 * pix.theta_k / math.pi)):
+            paths.append(str(tmp_path / f"j{j}_{what}.map"))
+            write_map(paths[-1], pix, values)
+        schedule.append((j, j, MaskSpec(kind="file", path=paths[0]), NoiseSpec(kind="file", path=paths[1])))
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_map(path)
+
+    monkeypatch.setattr("nse.model.read_map", counting)
+    exp = small_experiment(fam, model3, Scenario(schedule=tuple(schedule)), R=R,
+                           threshold_mode="quantile", q=0.5)
+    rows, _ = run_experiment(exp)
+    assert len(rows) == 2 * R
+    assert len(calls) == 4 and len(set(calls)) == 4
 
 
 def test_experiment_validation(fam, model3, full_scen):

@@ -234,11 +234,12 @@ def test_observe_trivial_cases(full_scen):
     pix = build_pixelization(8)
     rng = np.random.default_rng(3)
     alm = synthesize_field(np.full(5, 0.2), 4, rng)
-    y = observe(alm, pix, full_scen, 3, np.random.default_rng(0))
+    y = observe(alm, pix, full_scen.mask_map(3, pix), full_scen.noise_map(3, pix),
+                np.random.default_rng(0))[0]
     assert np.array_equal(y, inverse_sht(alm, pix))
     dark = Scenario(schedule=((0, 99, MaskSpec(kind="polar_cap", theta_cut=4.0),
                                NoiseSpec(kind="constant", sigma=1.0)),))
-    y0 = observe(alm, pix, dark, 3, np.random.default_rng(0))
+    y0 = observe(alm, pix, dark.mask_map(3, pix), dark.noise_map(3, pix), np.random.default_rng(0))[0]
     assert np.array_equal(y0, np.zeros(pix.npoints))
 
 
@@ -248,7 +249,8 @@ def test_observe_noise_variance():
                                NoiseSpec(kind="constant", sigma=2.0)),))
     zero = Alm(4)
     rng = np.random.default_rng(77)
-    samples = [observe(zero, pix, scen, 3, rng) for _ in range(100)]
+    W, sigma = scen.mask_map(3, pix), scen.noise_map(3, pix)
+    samples = [observe(zero, pix, W, sigma, rng)[0] for _ in range(100)]
     flat = np.concatenate(samples)
     assert 3.9 < float(np.var(flat)) < 4.1
 
@@ -260,6 +262,7 @@ def test_observe_noise_independence():
     zero = Alm(2)
     rng = np.random.default_rng(5)
     n = 2000
-    draws = np.stack([observe(zero, pix, scen, 3, rng) for _ in range(n)])
+    W, sigma = scen.mask_map(3, pix), scen.noise_map(3, pix)
+    draws = np.stack([observe(zero, pix, W, sigma, rng)[0] for _ in range(n)])
     r = np.corrcoef(draws[:, 2], draws[:, 9])[0, 1]
     assert abs(r) < 4.0 / math.sqrt(n)
