@@ -1,116 +1,2 @@
 """Needlet analysis on the sphere and spectral estimation from masked,
 noisy observations, with a reproducible Monte Carlo harness."""
-
-from .config import Config, load_config
-from .errors import (
-    AllMasked,
-    ConfigError,
-    ConventionViolation,
-    DegenerateSample,
-    InvalidParameter,
-    NseError,
-    ShapeMismatch,
-)
-from .estimator import (
-    EstimatorConfig,
-    ScaleEstimate,
-    ScalePlan,
-    estimate,
-    kept_set,
-    mask_functional,
-    noise_levels,
-    prepare_scale,
-    relative_mse,
-    target_cj,
-    two_pass_estimate,
-    weights,
-)
-from .grid import Pixelization, build_pixelization, geodesic_distance, read_map, write_map
-from .harmonics import Alm, band_kernel, eval_ylm, forward_sht, inverse_sht, read_alm, write_alm
-from .mc import DiagnosticsRow, Experiment, anderson_darling, run_experiment, skew_kurt
-from .model import (
-    MaskSpec,
-    NoiseSpec,
-    Scenario,
-    SeededRng,
-    SpectrumModel,
-    observe,
-    spectrum_values,
-    synthesize_field,
-)
-from .needlet import (
-    NeedletScale,
-    correlation_decay_report,
-    eval_needlet,
-    make_scale,
-    needlet_coeffs_of_sequence,
-    needlet_transform,
-    noise_covariance,
-    signal_covariance,
-)
-from .window import CutoffFunction, WindowFamily, build_cutoff, build_windows, eval_window, scale_band
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Alm",
-    "AllMasked",
-    "Config",
-    "ConfigError",
-    "ConventionViolation",
-    "CutoffFunction",
-    "DegenerateSample",
-    "DiagnosticsRow",
-    "EstimatorConfig",
-    "Experiment",
-    "InvalidParameter",
-    "MaskSpec",
-    "NeedletScale",
-    "NoiseSpec",
-    "NseError",
-    "Pixelization",
-    "ScaleEstimate",
-    "ScalePlan",
-    "Scenario",
-    "SeededRng",
-    "ShapeMismatch",
-    "SpectrumModel",
-    "WindowFamily",
-    "anderson_darling",
-    "band_kernel",
-    "build_cutoff",
-    "build_pixelization",
-    "build_windows",
-    "correlation_decay_report",
-    "estimate",
-    "eval_needlet",
-    "eval_window",
-    "eval_ylm",
-    "forward_sht",
-    "geodesic_distance",
-    "inverse_sht",
-    "kept_set",
-    "load_config",
-    "make_scale",
-    "mask_functional",
-    "needlet_coeffs_of_sequence",
-    "needlet_transform",
-    "noise_covariance",
-    "noise_levels",
-    "observe",
-    "prepare_scale",
-    "read_alm",
-    "read_map",
-    "relative_mse",
-    "run_experiment",
-    "scale_band",
-    "signal_covariance",
-    "skew_kurt",
-    "spectrum_values",
-    "synthesize_field",
-    "target_cj",
-    "two_pass_estimate",
-    "weights",
-    "write_alm",
-    "write_map",
-]

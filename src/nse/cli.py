@@ -91,16 +91,10 @@ def run_validation(cfg: Config) -> list:
     # full coverage of l needs every scale through log_B(l) + 1
     l_hi = int(fam.B ** (fam.j_max - 1))
     if l_hi >= 2:
-        if fam.mode == "tight":
-            part = partition_sum(fam, l_hi)
-            what = "sum of squared windows"
-        else:
-            part = np.zeros(l_hi + 1)
-            for j in range(fam.j_min, fam.j_max + 1):
-                t = fam.table(j)
-                n = min(len(t), l_hi + 1)
-                part[:n] += t[:n]
-            what = "sum of windows"
+        # tight windows partition unity in squares, literal ones in plain sums
+        tight = fam.mode == "tight"
+        part = partition_sum(fam, l_hi, 2 if tight else 1)
+        what = "sum of squared windows" if tight else "sum of windows"
         err = float(np.max(np.abs(part[1:] - 1.0)))
         line = f"{what} over l = 1..{l_hi}: max error {err:.3e}"
         if err > 1e-12:

@@ -14,12 +14,13 @@ Sections and keys (all lowercase):
     [noise.X]    kind, then kind-specific keys
     [estimator]  alpha, tau0, eps, weights, threshold, q, pilot
     [mc]         scales, replicates, seed, order_cap
-    [io]         out, write_maps
+    [io]         out
 
-The schedule maps named (mask, noise) pairs to inclusive scale ranges,
-e.g. `schedule = A:0-4, B:5-5, C:6-6`; scales not covered see the full
-sky with no noise.  File paths inside mask/noise sections are resolved
-relative to the config file.
+The schedule maps named (mask, noise) pairs to inclusive, non-overlapping
+scale ranges, e.g. `schedule = A:0-4, B:5-5, C:6-6`; scales not covered
+see the full sky with no noise.  File paths inside mask/noise sections are
+resolved relative to the config file.  A key left out takes the default of
+the class it configures; `_DEFAULTS` holds the ones no class owns.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, NseError
 from .estimator import EstimatorConfig
 from .model import FULL_SKY, NO_NOISE, MaskSpec, NoiseSpec, Scenario, SpectrumModel
+from .needlet import ORDER_CAP
 from .window import WindowFamily, build_windows
 
 _MASK_KEYS = {
@@ -58,26 +60,12 @@ class Config:
     seed: int
     order_cap: int
     out: str
-    write_maps: bool
-    base_dir: str
 
 
 def _known(section: str, keys, allowed) -> None:
     extra = set(keys) - set(allowed)
     if extra:
         raise ConfigError(f"[{section}] has unknown keys: {sorted(extra)}")
-
-
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        if cast is bool:
-            return parser.getboolean(section, key)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def parse_scales(text: str) -> tuple:
@@ -100,11 +88,13 @@ def parse_scales(text: str) -> tuple:
                 out.append(int(part))
             except ValueError as exc:
                 raise ConfigError(f"bad scale {part!r}") from exc
+    if len(set(out)) != len(out):
+        raise ConfigError(f"a scale is listed more than once in {text!r}")
     return tuple(out)
 
 
 def _parse_schedule(text: str):
-    """"A:0-4, B:5-5" -> [(name, lo, hi), ...]."""
+    """"A:0-4, B:5-5" -> [(name, lo, hi), ...]; ranges may not overlap."""
     entries = []
     for part in text.replace(" ", "").split(","):
         if not part:
@@ -114,9 +104,16 @@ def _parse_schedule(text: str):
         if not (sep and sep2 and name):
             raise ConfigError(f"bad schedule entry {part!r}, want NAME:LO-HI")
         try:
-            entries.append((name, int(lo), int(hi)))
+            lo, hi = int(lo), int(hi)
         except ValueError as exc:
             raise ConfigError(f"bad schedule entry {part!r}") from exc
+        if hi < lo:
+            raise ConfigError(f"bad schedule entry {part!r}: LO exceeds HI")
+        entries.append((name, lo, hi))
+    spans = sorted((lo, hi) for _, lo, hi in entries)
+    for (_, hi), (lo, _) in zip(spans, spans[1:]):
+        if lo <= hi:
+            raise ConfigError(f"scale {lo} lies in two schedule ranges")
     return entries
 
 
@@ -136,56 +133,87 @@ def _parse_beam_l(text: str) -> tuple:
     return tuple(out)
 
 
-def _mask_from(parser, section: str, base_dir: str) -> MaskSpec:
-    keys = dict(parser.items(section))
-    kind = keys.pop("kind", None)
-    if kind not in _MASK_KEYS:
-        raise ConfigError(f"[{section}] kind must be one of {sorted(_MASK_KEYS)}")
-    _known(section, keys, _MASK_KEYS[kind])
-    try:
-        if kind == "polar_cap":
-            return MaskSpec(kind=kind, theta_cut=float(keys.get("theta_cut", 0.0)))
-        if kind == "disc":
-            return MaskSpec(
-                kind=kind,
-                center=(float(keys.get("center_theta", 0.0)), float(keys.get("center_phi", 0.0))),
-                radius=float(keys.get("radius", 0.0)),
-            )
-        if kind == "file":
-            if "path" not in keys:
-                raise ConfigError(f"[{section}] file mask needs a path")
-            return MaskSpec(kind=kind, path=os.path.join(base_dir, keys["path"]))
-    except ValueError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from exc
-    return FULL_SKY
+def _parse_pilot(text: str):
+    """"two-pass" or an external pilot value."""
+    return text if text == "two-pass" else float(text)
 
 
-def _noise_from(parser, section: str, base_dir: str) -> NoiseSpec:
+# config key -> (the argument it sets, cast), per plain section
+_KEYS = {
+    "window": {"b": ("B", float), "m": ("M", int), "j_min": ("j_min", int),
+               "j_max": ("j_max", int), "mode": ("mode", str)},
+    "model": {"alpha": ("alpha", float), "g": ("g_kind", str), "g0": ("g0", float),
+              "eps": ("eps", float)},
+    "scenario": {"beam": ("beam", str), "schedule": ("schedule", _parse_schedule),
+                 "beam_l": ("beam_l", _parse_beam_l)},
+    "estimator": {"alpha": ("alpha", float), "tau0": ("tau0", float), "eps": ("eps", float),
+                  "weights": ("weight_mode", str), "threshold": ("threshold_mode", str),
+                  "q": ("q", float), "pilot": ("pilot", _parse_pilot)},
+    "mc": {"scales": ("scales", parse_scales), "replicates": ("replicates", int),
+           "seed": ("seed", int), "order_cap": ("order_cap", int)},
+    "io": {"out": ("out", str)},
+}
+
+# the defaults no class owns; the estimator's alpha defaults to the model's
+_DEFAULTS = {
+    "window": {"B": 2.0, "M": 5, "j_min": 0, "j_max": 8},
+    "model": {"alpha": 3.0},
+    "mc": {"scales": (3, 4, 5, 6), "replicates": 500, "seed": 0, "order_cap": ORDER_CAP},
+    "io": {"out": "out"},
+}
+
+
+def _options(parser, section: str) -> dict:
+    """The keys set in [section] (none when it is absent), cast and keyed by
+    the argument they set, over the section's defaults."""
+    keys = _KEYS[section]
+    out = dict(_DEFAULTS.get(section, {}))
+    if not parser.has_section(section):
+        return out
+    _known(section, parser[section], keys)
+    for key, raw in parser[section].items():
+        name, cast = keys[key]
+        try:
+            out[name] = cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    return out
+
+
+def _spec_from(parser, section: str, base_dir: str):
+    """The MaskSpec or NoiseSpec of [mask.X] or [noise.X]; keys left out keep
+    the class defaults."""
+    what = section.partition(".")[0]
+    cls, kinds = (MaskSpec, _MASK_KEYS) if what == "mask" else (NoiseSpec, _NOISE_KEYS)
     keys = dict(parser.items(section))
     kind = keys.pop("kind", None)
-    if kind not in _NOISE_KEYS:
-        raise ConfigError(f"[{section}] kind must be one of {sorted(_NOISE_KEYS)}")
-    _known(section, keys, _NOISE_KEYS[kind])
-    try:
-        if kind == "constant":
-            return NoiseSpec(kind=kind, sigma=float(keys.get("sigma", 0.0)))
-        if kind == "colatitude_linear":
-            return NoiseSpec(
-                kind=kind,
-                sigma_min=float(keys.get("sigma_min", 0.0)),
-                sigma_max=float(keys.get("sigma_max", 0.0)),
-            )
-        if kind == "hemisphere_step":
-            return NoiseSpec(
-                kind=kind,
-                sigma_north=float(keys.get("sigma_north", 0.0)),
-                sigma_south=float(keys.get("sigma_south", 0.0)),
-            )
+    if kind not in kinds:
+        raise ConfigError(f"[{section}] kind must be one of {sorted(kinds)}")
+    _known(section, keys, kinds[kind])
+    if kind == "file":
         if "path" not in keys:
-            raise ConfigError(f"[{section}] file noise needs a path")
-        return NoiseSpec(kind=kind, path=os.path.join(base_dir, keys["path"]))
+            raise ConfigError(f"[{section}] file {what} needs a path")
+        return cls(kind=kind, path=os.path.join(base_dir, keys["path"]))
+    try:
+        values = {key: float(raw) for key, raw in keys.items()}
     except ValueError as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
+    if kind == "disc":
+        theta, phi = MaskSpec.center
+        values["center"] = (values.pop("center_theta", theta), values.pop("center_phi", phi))
+    return cls(kind=kind, **values)
+
+
+def _campaigns(parser, entries, base_dir: str) -> tuple:
+    """Schedule entries as (lo, hi, MaskSpec, NoiseSpec); a campaign without
+    a mask or noise section sees the full sky or no noise."""
+    out = []
+    for name, lo, hi in entries:
+        msec, nsec = f"mask.{name}", f"noise.{name}"
+        mask = _spec_from(parser, msec, base_dir) if parser.has_section(msec) else FULL_SKY
+        noise = _spec_from(parser, nsec, base_dir) if parser.has_section(nsec) else NO_NOISE
+        out.append((lo, hi, mask, noise))
+    return tuple(out)
 
 
 def load_config(path: str) -> Config:
@@ -199,91 +227,30 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    plain = {"window", "model", "scenario", "estimator", "mc", "io"}
     for section in parser.sections():
-        if section in plain or section.startswith("mask.") or section.startswith("noise."):
+        if section in _KEYS or section.startswith("mask.") or section.startswith("noise."):
             continue
         raise ConfigError(f"unknown section [{section}]")
+    opts = {section: _options(parser, section) for section in _KEYS}
 
-    sec = "window"
-    _known(sec, parser[sec].keys() if parser.has_section(sec) else (), ("b", "m", "j_min", "j_max", "mode"))
-    B = _get(parser, sec, "b", float, 2.0) if parser.has_section(sec) else 2.0
-    M = _get(parser, sec, "m", int, 5) if parser.has_section(sec) else 5
-    j_min = _get(parser, sec, "j_min", int, 0) if parser.has_section(sec) else 0
-    j_max = _get(parser, sec, "j_max", int, 8) if parser.has_section(sec) else 8
-    mode = _get(parser, sec, "mode", str, "tight") if parser.has_section(sec) else "tight"
-
-    sec = "model"
-    _known(sec, parser[sec].keys() if parser.has_section(sec) else (), ("alpha", "g", "g0", "eps"))
-    alpha = _get(parser, sec, "alpha", float, 3.0) if parser.has_section(sec) else 3.0
-    g_kind = _get(parser, sec, "g", str, "constant") if parser.has_section(sec) else "constant"
-    g0 = _get(parser, sec, "g0", float, 1.0) if parser.has_section(sec) else 1.0
-    model_eps = _get(parser, sec, "eps", float, 0.0) if parser.has_section(sec) else 0.0
-
-    sec = "scenario"
-    _known(sec, parser[sec].keys() if parser.has_section(sec) else (), ("beam", "schedule", "beam_l"))
-    beam = _get(parser, sec, "beam", str, "sharp") if parser.has_section(sec) else "sharp"
-    schedule_text = _get(parser, sec, "schedule", str, "") if parser.has_section(sec) else ""
-    beam_l_text = _get(parser, sec, "beam_l", str, "") if parser.has_section(sec) else ""
-
-    referenced = set()
-    schedule = []
-    for name, lo, hi in _parse_schedule(schedule_text):
-        msec, nsec = f"mask.{name}", f"noise.{name}"
-        mask = _mask_from(parser, msec, base_dir) if parser.has_section(msec) else FULL_SKY
-        noise = _noise_from(parser, nsec, base_dir) if parser.has_section(nsec) else NO_NOISE
-        referenced.update({msec, nsec})
-        schedule.append((lo, hi, mask, noise))
+    scenario = opts["scenario"]
+    entries = scenario.get("schedule", [])
+    referenced = {f"{what}.{name}" for name, _, _ in entries for what in ("mask", "noise")}
     for section in parser.sections():
         if (section.startswith("mask.") or section.startswith("noise.")) and section not in referenced:
             raise ConfigError(f"[{section}] is not referenced by the schedule")
-
-    sec = "estimator"
-    _known(sec, parser[sec].keys() if parser.has_section(sec) else (),
-           ("alpha", "tau0", "eps", "weights", "threshold", "q", "pilot"))
-    est_alpha = _get(parser, sec, "alpha", float, alpha) if parser.has_section(sec) else alpha
-    tau0 = _get(parser, sec, "tau0", float, 0.1) if parser.has_section(sec) else 0.1
-    est_eps = _get(parser, sec, "eps", float, 0.5) if parser.has_section(sec) else 0.5
-    weightm = _get(parser, sec, "weights", str, "mle") if parser.has_section(sec) else "mle"
-    thmode = _get(parser, sec, "threshold", str, "schedule") if parser.has_section(sec) else "schedule"
-    q = _get(parser, sec, "q", float, 0.5) if parser.has_section(sec) else 0.5
-    pilot_text = _get(parser, sec, "pilot", str, "two-pass") if parser.has_section(sec) else "two-pass"
-    if pilot_text != "two-pass":
-        try:
-            pilot = float(pilot_text)
-        except ValueError as exc:
-            raise ConfigError(f"[estimator] pilot must be 'two-pass' or a number") from exc
-    else:
-        pilot = "two-pass"
-
-    sec = "mc"
-    _known(sec, parser[sec].keys() if parser.has_section(sec) else (),
-           ("scales", "replicates", "seed", "order_cap"))
-    scales_text = _get(parser, sec, "scales", str, "3-6") if parser.has_section(sec) else "3-6"
-    replicates = _get(parser, sec, "replicates", int, 500) if parser.has_section(sec) else 500
-    seed = _get(parser, sec, "seed", int, 0) if parser.has_section(sec) else 0
-    order_cap = _get(parser, sec, "order_cap", int, 512) if parser.has_section(sec) else 512
-
-    sec = "io"
-    _known(sec, parser[sec].keys() if parser.has_section(sec) else (), ("out", "write_maps"))
-    out = _get(parser, sec, "out", str, "out") if parser.has_section(sec) else "out"
-    write_maps = _get(parser, sec, "write_maps", bool, False) if parser.has_section(sec) else False
-    if not os.path.isabs(out):
-        out = os.path.join(base_dir, out)
+    if "schedule" in scenario:
+        scenario["schedule"] = _campaigns(parser, entries, base_dir)
 
     try:
-        fam = build_windows(B, M, j_min, j_max, mode)
-        model = SpectrumModel(alpha=alpha, g_kind=g_kind, g0=g0, eps=model_eps, B=B)
-        scen = Scenario(schedule=tuple(schedule), beam=beam, beam_l=_parse_beam_l(beam_l_text))
-        est = EstimatorConfig(
-            alpha=est_alpha, tau0=tau0, eps=est_eps, weight_mode=weightm,
-            pilot=pilot, threshold_mode=thmode, q=q,
-        )
+        fam = build_windows(**opts["window"])
+        model = SpectrumModel(B=opts["window"]["B"], **opts["model"])
+        scen = Scenario(**scenario)
+        est = EstimatorConfig(**{"alpha": opts["model"]["alpha"], **opts["estimator"]})
     except NseError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     return Config(
         fam=fam, model=model, scen=scen, est=est,
-        scales=parse_scales(scales_text), replicates=replicates, seed=seed,
-        order_cap=order_cap, out=out, write_maps=write_maps, base_dir=base_dir,
+        out=os.path.join(base_dir, opts["io"]["out"]), **opts["mc"],
     )

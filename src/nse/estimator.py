@@ -8,8 +8,7 @@ coefficients over the kept set,
 where n_{j,k} is the exact noise standard deviation of gamma_{j,k} and the
 kept set excludes points whose needlet overlaps the masked region too much.
 Both n and the mask functional are computed by needlet-filtered transforms
-of point maps (no pairwise psi tables); direct quadratic-cost references
-are kept alongside for verification.
+of point maps (no pairwise psi tables).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllMasked, InvalidParameter, ShapeMismatch
-from .harmonics import FOUR_PI, band_kernel
+from .harmonics import FOUR_PI
 from .model import Scenario, SpectrumModel, spectrum_values
 from .needlet import NeedletScale, filtered_square_functional, make_scale
 from .window import WindowFamily
@@ -85,12 +84,9 @@ class ScaleEstimate:
     c_hat: float
     c_target: float
     kept_count: int
-    weights_entropy: float
-    n_stats: tuple  # (min, median, max) of n_k^2 over the kept set
     mode: str
     threshold: float
     pilot: float
-    pilot_floored: bool
 
 
 def target_cj(fam: WindowFamily, j: int, C: np.ndarray) -> float:
@@ -116,12 +112,6 @@ def noise_levels(scale: NeedletScale, W: np.ndarray, sigma: np.ndarray) -> np.nd
     return np.sqrt(np.clip(h, 0.0, None))
 
 
-def noise_levels_direct(scale: NeedletScale, W: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Quadratic-cost reference for noise_levels (testing only)."""
-    weights = (scale.pix.lam * W * sigma) ** 2
-    return np.sqrt(_pairwise_sum(scale, weights))
-
-
 def mask_functional(scale: NeedletScale, W: np.ndarray) -> np.ndarray:
     """Leakage level m_k = (sum_p lam_p (1-W_p)^2 psi_k(xi_p)^2)^(1/2).
 
@@ -133,24 +123,6 @@ def mask_functional(scale: NeedletScale, W: np.ndarray) -> np.ndarray:
         return np.zeros(scale.pix.npoints)
     h = filtered_square_functional(scale, point_map)
     return np.sqrt(np.clip(scale.pix.lam * h, 0.0, None))
-
-
-def mask_functional_direct(scale: NeedletScale, W: np.ndarray) -> np.ndarray:
-    """Quadratic-cost reference for mask_functional (testing only)."""
-    weights = scale.pix.lam * (1.0 - W) ** 2
-    return np.sqrt(scale.pix.lam * _pairwise_sum(scale, weights))
-
-
-def _pairwise_sum(scale: NeedletScale, point_weights: np.ndarray) -> np.ndarray:
-    """sum_p point_weights_p K(xi_k . xi_p) for every k, K the squared
-    band kernel, evaluated pairwise in row blocks."""
-    xyz = scale.pix.xyz
-    out = np.empty(scale.pix.npoints)
-    block = max(1, 2**22 // max(1, scale.pix.npoints))
-    for start in range(0, scale.pix.npoints, block):
-        dots = np.clip(xyz[start : start + block] @ xyz.T, -1.0, 1.0)
-        out[start : start + block] = band_kernel(scale.window, dots) ** 2 @ point_weights
-    return out
 
 
 def kept_set(functional: np.ndarray, t_j: float) -> np.ndarray:
@@ -255,7 +227,7 @@ def prepare_scale(
     else:
         t_j = cfg.threshold(fam.B, j)
     kept = kept_set(m, t_j)
-    C = spectrum_values(model, j, scale.band_lmax)
+    C = spectrum_values(model, scale.band_lmax)
     return ScalePlan(
         scale=scale,
         W=W,
@@ -277,7 +249,6 @@ def two_pass_estimate(gamma: np.ndarray, plan: ScalePlan, cfg: EstimatorConfig) 
             f"scale {plan.j}: threshold {plan.threshold:g} keeps no coefficient"
         )
     pilot = math.nan
-    floored = False
     if cfg.weight_mode == "uniform":
         w = weights("uniform", kept, plan.n)
     else:
@@ -285,24 +256,14 @@ def two_pass_estimate(gamma: np.ndarray, plan: ScalePlan, cfg: EstimatorConfig) 
             pilot = estimate(gamma, plan.n, weights("uniform", kept, plan.n))
         else:
             pilot = float(cfg.pilot)
-        floor = PILOT_FLOOR_FRACTION * plan.scale.norm_constant
-        if pilot < floor:
-            pilot = floor
-            floored = True
+        pilot = max(pilot, PILOT_FLOOR_FRACTION * plan.scale.norm_constant)
         w = weights("mle", kept, plan.n, pilot=pilot)
-    c_hat = estimate(gamma, plan.n, w)
-    wk = w[kept]
-    entropy = float(-np.sum(wk * np.log(wk)))
-    n2 = plan.n[kept] ** 2
     return ScaleEstimate(
         j=plan.j,
-        c_hat=c_hat,
+        c_hat=estimate(gamma, plan.n, w),
         c_target=plan.c_target,
         kept_count=int(kept.size),
-        weights_entropy=entropy,
-        n_stats=(float(n2.min()), float(np.median(n2)), float(n2.max())),
         mode=cfg.weight_mode,
         threshold=plan.threshold,
         pilot=pilot,
-        pilot_floored=floored,
     )

@@ -11,8 +11,6 @@ ascending from 0.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
@@ -72,14 +70,6 @@ class Pixelization:
         self.phi_k = np.tile(self.phi, self.n_rings)
         self._legendre_cache = {}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pixelization)
-            and self.order == other.order
-            and self.n_phi == other.n_phi
-            and np.array_equal(self.theta, other.theta)
-        )
-
 
 def build_pixelization(order: int) -> Pixelization:
     """Build the Gauss-Legendre product pixelization of the given order."""
@@ -93,33 +83,6 @@ def build_pixelization(order: int) -> Pixelization:
     theta = np.arccos(np.clip(t[idx], -1.0, 1.0))
     ring_weight = 2.0 * np.pi * w[idx] / n_phi
     return Pixelization(order=order, theta=theta, ring_weight=ring_weight, n_phi=n_phi)
-
-
-def _check_unit(xi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    nrm = np.sqrt(np.sum(xi * xi, axis=-1))
-    if np.any(np.abs(nrm - 1.0) > tol):
-        raise InvalidParameter("direction vector is not unit length")
-    return xi
-
-
-def geodesic_distance(xi1, xi2) -> float:
-    """Great-circle distance between unit vectors (radians)."""
-    a = _check_unit(xi1)
-    b = _check_unit(xi2)
-    dot = np.clip(np.sum(a * b, axis=-1), -1.0, 1.0)
-    out = np.arccos(dot)
-    return out if out.ndim else float(out)
-
-def points_within(pix: Pixelization, xi, delta: float) -> np.ndarray:
-    """Indices of grid points within geodesic distance delta of xi."""
-    if delta < 0:
-        raise InvalidParameter("radius must be nonnegative")
-    xi = _check_unit(xi)
-    # compare on the cosine scale: d <= delta becomes dot >= cos(delta), and
-    # the 1e-12 slack absorbs the dot-product roundoff that would otherwise
-    # push a point's distance to itself a hair above zero
-    return np.nonzero(pix.xyz @ xi >= math.cos(delta) - 1e-12)[0]
 
 
 def write_map(path, pix: Pixelization, values: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConventionViolation, InvalidParameter, ShapeMismatch
-from .grid import Pixelization, _check_unit
+from .grid import Pixelization
 
 FOUR_PI = 4.0 * np.pi
 
@@ -93,36 +93,12 @@ class Alm:
                 raise ShapeMismatch(f"coefficient array shape {c.shape} != {(lmax + 1, lmax + 1)}")
         self.c = c
 
-    def copy(self) -> "Alm":
-        return Alm(self.lmax, self.c.copy())
-
     def truncated(self, lmax: int) -> "Alm":
         """Coefficients restricted to degrees <= lmax (zero-padded if larger)."""
         out = Alm(lmax)
         n = min(lmax, self.lmax) + 1
         out.c[:n, :n] = self.c[:n, :n]
         return out
-
-    def power(self) -> float:
-        """sum over all (l, m), negative m implied: |a_{l,m}|^2."""
-        mod2 = np.abs(self.c) ** 2
-        return float(np.sum(mod2[:, 0]) + 2.0 * np.sum(np.tril(mod2[:, 1:], k=-1)))
-
-
-def eval_legendre_kernel(ell: int, t):
-    """Projection kernel L_l(t) = (2l+1)/(4 pi) P_l(t)."""
-    if ell < 0:
-        raise InvalidParameter("degree must be nonnegative")
-    t = np.asarray(t, dtype=float)
-    p_prev = np.ones_like(t)
-    if ell == 0:
-        out = p_prev / FOUR_PI
-        return out if out.ndim else float(out)
-    p = t.copy()
-    for k in range(2, ell + 1):
-        p, p_prev = ((2 * k - 1) * t * p - (k - 1) * p_prev) / k, p
-    out = (2 * ell + 1) / FOUR_PI * p
-    return out if out.ndim else float(out)
 
 
 def band_kernel(coeffs, t):
@@ -140,22 +116,6 @@ def band_kernel(coeffs, t):
         if coeffs[ell] != 0.0:
             acc = acc + coeffs[ell] * (2 * ell + 1) / FOUR_PI * p
     return acc if acc.ndim else float(acc)
-
-
-def eval_ylm(ell: int, m: int, xi) -> complex:
-    """Y_{l,m} at unit direction(s) xi; negative m via the reality symmetry."""
-    if abs(m) > ell:
-        raise InvalidParameter(f"|m| = {abs(m)} exceeds degree {ell}")
-    xi = _check_unit(xi)
-    x = np.clip(xi[..., 2], -1.0, 1.0)
-    phi = np.arctan2(xi[..., 1], xi[..., 0])
-    ma = abs(m)
-    block = _legendre_blocks(np.atleast_1d(x), ell)[ma]
-    p = block[..., ell - ma]
-    val = p * np.exp(1j * ma * np.asarray(phi))
-    if m < 0:
-        val = (-1) ** ma * np.conj(val)
-    return val if np.ndim(xi) > 1 else complex(val[0])
 
 
 def forward_sht(samples, pix: Pixelization, lmax: int) -> Alm:
@@ -177,7 +137,8 @@ def forward_sht(samples, pix: Pixelization, lmax: int) -> Alm:
     return alm
 
 
-def _inverse_on_grid(alm: Alm, pix: Pixelization) -> np.ndarray:
+def inverse_sht(alm: Alm, pix: Pixelization) -> np.ndarray:
+    """Evaluate the real field of an Alm on a grid."""
     lmax = alm.lmax
     if lmax >= pix.n_phi:
         raise InvalidParameter(f"lmax {lmax} not representable on {pix.n_phi} longitudes")
@@ -193,21 +154,6 @@ def _inverse_on_grid(alm: Alm, pix: Pixelization) -> np.ndarray:
     return f.ravel()
 
 
-def _inverse_at_points(alm: Alm, points: np.ndarray) -> np.ndarray:
-    points = _check_unit(np.atleast_2d(points))
-    x = np.clip(points[:, 2], -1.0, 1.0)
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    blocks = _legendre_blocks(x, alm.lmax)
-    g0 = blocks[0] @ alm.c[:, 0]
-    f = g0.real
-    resid = float(np.max(np.abs(g0.imag)))
-    for m in range(1, alm.lmax + 1):
-        gm = blocks[m] @ alm.c[m:, m]
-        f = f + 2.0 * (gm * np.exp(1j * m * phi)).real
-    _check_residue(resid, f)
-    return f
-
-
 def _check_residue(resid: float, f: np.ndarray) -> None:
     # the only imaginary content a real-field Alm can leak is the m = 0 channel
     scale = max(np.max(np.abs(f)), resid) if f.size else resid
@@ -216,43 +162,3 @@ def _check_residue(resid: float, f: np.ndarray) -> None:
             f"imaginary residue {resid:.3e} exceeds 1e-10 of field scale {scale:.3e}; "
             "a_{l,0} coefficients are not real"
         )
-
-
-def inverse_sht(alm: Alm, where) -> np.ndarray:
-    """Evaluate the real field of an Alm on a grid or at a list of unit vectors."""
-    if isinstance(where, Pixelization):
-        return _inverse_on_grid(alm, where)
-    return _inverse_at_points(alm, np.asarray(where, dtype=float))
-
-
-def write_alm(path, alm: Alm) -> None:
-    """Write coefficients (m >= 0 rows) as l,m,re,im with an #lmax header."""
-    with open(path, "w") as fh:
-        fh.write(f"#lmax {alm.lmax}\n")
-        for ell in range(alm.lmax + 1):
-            for m in range(ell + 1):
-                v = alm.c[ell, m]
-                fh.write("%d,%d,%.17g,%.17g\n" % (ell, m, v.real, v.imag))
-
-
-def read_alm(path) -> Alm:
-    lmax = None
-    entries = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#lmax"):
-                lmax = int(line.split()[1])
-                continue
-            ell_s, m_s, re_s, im_s = line.split(",")
-            entries.append((int(ell_s), int(m_s), float(re_s), float(im_s)))
-    if lmax is None:
-        raise ShapeMismatch(f"coefficient file {path} missing #lmax header")
-    alm = Alm(lmax)
-    for ell, m, re, im in entries:
-        if m < 0 or m > ell or ell > lmax:
-            raise ConventionViolation(f"coefficient ({ell},{m}) outside the m >= 0 triangle")
-        alm.c[ell, m] = re + 1j * im
-    return alm

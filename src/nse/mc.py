@@ -20,12 +20,8 @@ from scipy.special import log_ndtr
 from .errors import ConventionViolation, DegenerateSample, InvalidParameter, NseError
 from .estimator import EstimatorConfig, prepare_scale, relative_mse, two_pass_estimate
 from .model import Scenario, SeededRng, SpectrumModel, observe, replicate_field
-from .needlet import grid_order, needlet_coeffs_of_sequence
+from .needlet import ORDER_CAP, grid_order, needlet_coeffs_of_sequence
 from .window import WindowFamily
-
-# scale-grid orders are capped here; beyond it the default 4x band limit
-# outgrows desk memory without improving the estimates
-ORDER_CAP = 512
 
 RESULT_COLUMNS = ("j", "replicate", "c_hat", "c_target", "kept_count", "mode")
 SUMMARY_COLUMNS = ("j", "mean", "var", "bias", "rel_mse", "skew", "exkurt", "ad_stat")

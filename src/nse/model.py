@@ -20,6 +20,7 @@ from .harmonics import Alm, inverse_sht
 from .window import WindowFamily
 
 G_KINDS = ("constant", "modulated")
+BEAMS = ("sharp", "cosine")
 
 
 @dataclass(frozen=True)
@@ -50,19 +51,10 @@ class SpectrumModel:
         if self.g_kind == "modulated" and not abs(self.eps) < 1.0:
             raise InvalidParameter(f"|eps| must be < 1 for a positive spectrum, got {self.eps}")
 
-    def g_bounds(self) -> tuple:
-        """Explicit (lower, upper) bounds on g."""
-        if self.g_kind == "constant":
-            return self.g0, self.g0
-        return self.g0 * (1.0 - abs(self.eps)), self.g0 * (1.0 + abs(self.eps))
 
-
-def spectrum_values(model: SpectrumModel, j: int, lmax: int) -> np.ndarray:
-    """C_l for l = 0..lmax (C_0 = 0).
-
-    The implemented g families are scale-consistent, so the result does not
-    depend on j; the argument is kept for call sites that think per scale.
-    """
+def spectrum_values(model: SpectrumModel, lmax: int) -> np.ndarray:
+    """C_l for l = 0..lmax (C_0 = 0); the g families are scale-consistent,
+    so one spectrum serves every scale."""
     ell = np.arange(1, lmax + 1, dtype=float)
     g = np.full(lmax, model.g0)
     if model.g_kind == "modulated":
@@ -124,9 +116,6 @@ def apply_band_limit(alm: Alm, profile: np.ndarray) -> Alm:
 
 # ---------------------------------------------------------------------------
 # observation scenarios
-
-NORTH = np.array([0.0, 0.0, 1.0])
-
 
 @dataclass(frozen=True)
 class MaskSpec:
@@ -214,6 +203,16 @@ class Scenario:
     beam: str = "sharp"
     beam_l: tuple = ()  # optional (j, L_j) overrides; default band limit of scale j
 
+    def __post_init__(self):
+        if self.beam not in BEAMS:
+            raise InvalidParameter(f"beam must be one of {BEAMS}, got {self.beam!r}")
+        scales = [j for j, _ in self.beam_l]
+        if len(set(scales)) != len(scales):
+            raise InvalidParameter(f"beam_l lists a scale more than once: {scales}")
+        for j, L in self.beam_l:
+            if L < 0:
+                raise InvalidParameter(f"beam degree of scale {j} must be nonnegative, got {L}")
+
     def entry(self, j: int):
         for j_lo, j_hi, mask, noise in self.schedule:
             if j_lo <= j <= j_hi:
@@ -227,10 +226,7 @@ class Scenario:
         return self.entry(j)[1].values(pix)
 
     def beam_degree(self, j: int, default: int) -> int:
-        for jj, lj in self.beam_l:
-            if jj == j:
-                return int(lj)
-        return int(default)
+        return int(dict(self.beam_l).get(j, default))
 
     def beam_profile(self, j: int, band_lmax: int) -> np.ndarray:
         """Profile over l = 0..2*L_j: 1 through L_j, then the chosen rolloff."""
@@ -240,8 +236,6 @@ class Scenario:
         if self.beam == "cosine":
             ell = np.arange(L + 1, 2 * L + 1, dtype=float)
             out[L + 1 :] = 0.5 * (1.0 + np.cos(np.pi * (ell - L) / L))
-        elif self.beam != "sharp":
-            raise InvalidParameter(f"unknown beam kind {self.beam!r}")
         return out
 
     def sim_lmax(self, j: int, band_lmax: int) -> int:
@@ -260,7 +254,7 @@ def replicate_field(model: SpectrumModel, scen: Scenario, fam: WindowFamily, sca
     """Replicate r's field: one draw at the largest degree any of the scales
     simulates, shared by all of them."""
     lmax_top = max(scen.sim_lmax(j, fam.band_lmax(j)) for j in scales)
-    C_top = spectrum_values(model, 0, lmax_top)
+    C_top = spectrum_values(model, lmax_top)
     return synthesize_field(C_top, lmax_top, rng.stream(r, "field"))
 
 

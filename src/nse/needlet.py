@@ -1,4 +1,4 @@
-"""Needlets on the sphere: frame functions, coefficients, and covariances.
+"""Needlets on the sphere: frame functions and coefficients.
 
 At scale j the needlet at grid point k is
 
@@ -45,6 +45,11 @@ class NeedletScale:
         times this number."""
         ell = np.arange(len(self.window))
         return float(np.sum(self.window ** 2 * (2 * ell + 1)) / FOUR_PI)
+
+
+# scale-grid orders are capped here; beyond it the default 4x band limit
+# outgrows desk memory without improving the estimates
+ORDER_CAP = 512
 
 
 def grid_order(fam: WindowFamily, j: int, order_cap: int) -> int:
@@ -101,30 +106,6 @@ def needlet_coeffs_of_sequence(values: np.ndarray, scale: NeedletScale) -> np.nd
     return needlet_transform(alm, scale)
 
 
-def signal_covariance(scale: NeedletScale, C: np.ndarray, k: int, k2: int) -> float:
-    """Cov[gamma_k, gamma_k'] of the field's needlet coefficients:
-    sum_l b^2 C_l L_l(xi_k . xi_k')."""
-    C = np.asarray(C, dtype=float)
-    n = min(len(C), len(scale.window))
-    coeffs = scale.window[:n] ** 2 * C[:n]
-    dot = float(np.clip(scale.pix.xyz[k] @ scale.pix.xyz[k2], -1.0, 1.0))
-    return float(band_kernel(coeffs, dot))
-
-
-def noise_covariance(scale: NeedletScale, sigma_eff: np.ndarray, k: int, k2: int) -> float:
-    """Cov[zeta_k, zeta_k'] of the needlet coefficients of pure noise with
-    per-point levels sigma_eff:
-    (lambda_k lambda_k')^(-1/2) sum_p lambda_p^2 sigma_p^2 psi_k(p) psi_k'(p)."""
-    sigma_eff = np.asarray(sigma_eff, dtype=float)
-    pix = scale.pix
-    if sigma_eff.shape != (pix.npoints,):
-        raise InvalidParameter("sigma_eff must be a per-point map on the scale grid")
-    psi_k = eval_needlet(scale, k, pix.xyz)
-    psi_k2 = psi_k if k2 == k else eval_needlet(scale, k2, pix.xyz)
-    s = np.sum(pix.lam ** 2 * sigma_eff ** 2 * psi_k * psi_k2)
-    return float(s / math.sqrt(pix.lam[k] * pix.lam[k2]))
-
-
 def needlet_norm_identity_check(scale: NeedletScale, k: int):
     """Cubature of psi_k^2 against its closed band-sum form.
 
@@ -178,78 +159,3 @@ def filtered_square_functional(scale: NeedletScale, point_map: np.ndarray) -> np
     alm = forward_sht(np.asarray(point_map, dtype=float) / scale.pix.lam, scale.pix, lmax)
     alm.c *= kappa[:, None]
     return inverse_sht(alm, scale.pix)
-
-
-def _envelope(values: np.ndarray, scaled_d: np.ndarray, edges: np.ndarray):
-    mids, env = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (scaled_d >= lo) & (scaled_d < hi)
-        if np.any(sel):
-            mids.append(math.sqrt(lo * hi))
-            env.append(np.max(np.abs(values[sel])))
-    return np.asarray(mids), np.asarray(env)
-
-
-def correlation_decay_report(
-    scale: NeedletScale,
-    C: np.ndarray,
-    fit_range: tuple = (15.0, 35.0),
-    n_bins: int = 10,
-):
-    """Tail decay of the needlet kernel and of coefficient correlations.
-
-    Both |psi_{j,k}(xi)| (up to the common sqrt(lambda) factor) and the
-    analytic correlation Cov[gamma_k, gamma_k'] / C^(j) are profiled against
-    scaled separation B^j d.  The profile oscillates through zeros, so each
-    log-spaced bin contributes its envelope (max |.|), and the report fits
-    the log-log slope of the envelope against 1 + B^j d.
-
-    fit_range selects the scaled window; it is clipped away from the
-    antipode (B^j d <= 0.75 pi B^j), where the kernel magnitude turns back
-    up and a power-law fit stops meaning anything.  Separations below the
-    first few sidelobes decay slower than the asymptotic rate, so the
-    default window starts well outside the central peak.
-
-    Returns a dict with scaled_distance (bin mids), psi_envelope,
-    cor_envelope, psi_slope, cor_slope, fit_range (after clipping).
-    """
-    C = np.asarray(C, dtype=float)
-    n = min(len(C), len(scale.window))
-    coeffs = scale.window[:n] ** 2 * C[:n]
-    variance = float(np.sum(coeffs * (2 * np.arange(n) + 1)) / FOUR_PI)
-    if variance <= 0:
-        raise InvalidParameter("zero-variance band: correlation undefined")
-    if not 0 < float(fit_range[0]) < float(fit_range[1]):
-        raise InvalidParameter(f"fit range must be increasing and positive, got {fit_range}")
-    Bj = scale.fam.B ** scale.j
-    hi = min(float(fit_range[1]), 0.75 * math.pi * Bj)
-    lo = min(float(fit_range[0]), 0.5 * hi)
-    if not 0 < lo < hi:
-        raise InvalidParameter(f"empty fit range {fit_range} at scale {scale.j}")
-    npts = max(4000, 32 * scale.band_lmax)
-    d = np.linspace(lo / Bj, hi / Bj, npts)
-    psi = band_kernel(scale.window, np.cos(d))
-    cor = band_kernel(coeffs, np.cos(d)) / variance
-    edges = np.geomspace(lo, hi, n_bins + 1)
-    mids, psi_env = _envelope(psi, Bj * d, edges)
-    _, cor_env = _envelope(cor, Bj * d, edges)
-    return {
-        "scaled_distance": mids,
-        "psi_envelope": psi_env,
-        "cor_envelope": cor_env,
-        "psi_slope": fit_loglog_slope(1.0 + mids, psi_env),
-        "cor_slope": fit_loglog_slope(1.0 + mids, cor_env),
-        "fit_range": (lo, hi),
-    }
-
-
-def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log y against log x (y floored at tiny)."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise InvalidParameter("slope fit needs at least two points")
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.maximum(np.asarray(y, dtype=float), 1e-300))
-    A = np.stack([lx, np.ones_like(lx)], axis=1)
-    sol, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    return float(sol[0])

@@ -68,14 +68,6 @@ class CutoffFunction:
         out = np.where(x <= inner, 1.0, np.where(x >= 1.0, 0.0, self._descent(np.clip(u, 0.0, 1.0))))
         return out if out.ndim else float(out)
 
-    def derivative_coeffs(self, order: int = 1) -> np.ndarray:
-        """Coefficients of the order-th derivative of the transition polynomial
-        with respect to its normalized variable u."""
-        c = self.coeffs
-        for _ in range(order):
-            c = c[1:] * np.arange(1, len(c))
-        return c
-
 
 def build_cutoff(B: float, M: int) -> CutoffFunction:
     """Construct the smooth cutoff for band ratio B and smoothness order M."""
@@ -108,12 +100,9 @@ class WindowFamily:
         """Smallest band limit: b_{j,l} = 0 for all l >= B^(j+1)."""
         return int(math.ceil(self.B ** (j + 1)))
 
-    def _check_scale(self, j: int) -> None:
+    def table(self, j: int) -> np.ndarray:
         if not self.j_min <= j <= self.j_max:
             raise InvalidParameter(f"scale {j} outside family range [{self.j_min}, {self.j_max}]")
-
-    def table(self, j: int) -> np.ndarray:
-        self._check_scale(j)
         return self.tables[j - self.j_min]
 
 
@@ -143,35 +132,19 @@ def build_windows(B: float, M: int, j_min: int, j_max: int, mode: str = "tight")
     return WindowFamily(cutoff=cutoff, mode=mode, j_min=int(j_min), j_max=int(j_max), tables=tables)
 
 
-def eval_window(fam: WindowFamily, j: int, ell) -> np.ndarray:
-    """b_{j,l} for integer multipole(s) l; zero outside the support band."""
-    fam._check_scale(j)
-    table = fam.table(j)
-    ell = np.asarray(ell)
-    if not np.issubdtype(ell.dtype, np.integer):
-        if not np.all(ell == np.round(ell)):
-            raise InvalidParameter("multipole index must be integral")
-        ell = ell.astype(np.int64)
-    if np.any(ell < 0):
-        raise InvalidParameter("multipole index must be nonnegative")
-    out = np.where(ell < len(table), table[np.minimum(ell, len(table) - 1)], 0.0)
-    return out if out.ndim else float(out)
-
-
 def scale_band(fam: WindowFamily, j: int):
     """(smallest, largest) l with b_{j,l} != 0, or None when the band is empty."""
-    fam._check_scale(j)
     nz = np.nonzero(fam.table(j))[0]
     if len(nz) == 0:
         return None
     return int(nz[0]), int(nz[-1])
 
 
-def partition_sum(fam: WindowFamily, lmax: int) -> np.ndarray:
-    """sum_j b_{j,l}^2 for l = 0..lmax over the family's scale range."""
+def partition_sum(fam: WindowFamily, lmax: int, power: int = 2) -> np.ndarray:
+    """sum_j b_{j,l}^power for l = 0..lmax over the family's scale range."""
     out = np.zeros(lmax + 1)
     for j in range(fam.j_min, fam.j_max + 1):
         t = fam.table(j)
         n = min(len(t), lmax + 1)
-        out[:n] += t[:n] ** 2
+        out[:n] += t[:n] ** power
     return out

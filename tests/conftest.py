@@ -42,7 +42,7 @@ def scale5(fam):
 
 @pytest.fixture(scope="session")
 def C_256(model3):
-    return spectrum_values(model3, 0, 256)
+    return spectrum_values(model3, 256)
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from nse.estimator import (
     two_pass_estimate,
 )
 from nse.grid import build_pixelization
-from nse.harmonics import Alm, band_kernel, eval_ylm, forward_sht, inverse_sht
+from nse.harmonics import Alm, band_kernel, forward_sht, inverse_sht
 from nse.mc import Experiment, run_experiment
 from nse.model import (
     MaskSpec,
@@ -36,15 +36,10 @@ from nse.model import (
     spectrum_values,
     synthesize_field,
 )
-from nse.needlet import (
-    correlation_decay_report,
-    make_scale,
-    needlet_coeffs_of_sequence,
-    needlet_transform,
-    noise_covariance,
-    signal_covariance,
-)
+from nse.needlet import make_scale, needlet_coeffs_of_sequence, needlet_transform
 from nse.window import build_windows, partition_sum
+
+from oracles import correlation_decay_report, eval_ylm, noise_covariance, signal_covariance
 
 HERE = os.path.dirname(__file__)
 ABC = os.path.join(HERE, os.pardir, "configs", "abc.ini")
@@ -139,7 +134,7 @@ def test_04_needlet_norm_identity_every_point():
 def test_05_covariance_oracles():
     scale = make_scale(FAM, 3)
     pix = scale.pix
-    C = spectrum_values(MODEL, 0, scale.band_lmax)
+    C = spectrum_values(MODEL, scale.band_lmax)
     W = CAP_SCEN.mask_map(3, pix)
     sigma_eff = W * CAP_SCEN.noise_map(3, pix)
 
@@ -214,7 +209,7 @@ def test_07_bias_shrinks_with_threshold():
     R = 500
     seeded = SeededRng(70707)
     lmax = base.scale.band_lmax
-    C_top = spectrum_values(MODEL, 0, lmax)
+    C_top = spectrum_values(MODEL, lmax)
     sums = np.zeros(len(plans))
     for r in range(R):
         alm = synthesize_field(C_top, lmax, seeded.stream(r, "field"))
@@ -244,7 +239,7 @@ def test_08_relative_mse_falls_across_scales():
 
 def test_09_localization_tail_slopes():
     scale = make_scale(FAM, 4)
-    C = spectrum_values(MODEL, 0, scale.band_lmax)
+    C = spectrum_values(MODEL, scale.band_lmax)
     rep = correlation_decay_report(scale, C)
     print(f"psi slope {rep['psi_slope']:.2f}  correlation slope {rep['cor_slope']:.2f}")
     assert rep["psi_slope"] <= -(FAM.cutoff.M - 0.5)

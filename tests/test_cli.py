@@ -255,6 +255,18 @@ def test_mc_rejects_bad_file_maps(tmp_path, capsys, mask, noise, what):
     assert what in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, beam, what", [
+    ("mc", "beam_l = 3:-3", "nonnegative"),
+    ("mc", "beam_l = 3:8, 3:16", "more than once"),
+    ("validate", "beam = cosin", "beam must be one of"),
+])
+def test_bad_beam_settings_exit_2_before_any_work(tmp_path, capsys, command, beam, what):
+    cfg = write(tmp_path, SMALL + f"[scenario]\n{beam}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert what in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_estimate_rejects_non_finite_observation(tmp_path, capsys):
     cfg = write(tmp_path, OBSERVED)
     maps = str(tmp_path / "maps")

@@ -26,7 +26,7 @@ def test_parse_scales():
     assert parse_scales("7") == (7,)
 
 
-@pytest.mark.parametrize("bad", ["6-3", "x", "1-b", "1--3"])
+@pytest.mark.parametrize("bad", ["6-3", "x", "1-b", "1--3", "3,3", "3-5,4"])
 def test_parse_scales_rejects(bad):
     with pytest.raises(ConfigError):
         parse_scales(bad)
@@ -49,7 +49,7 @@ def test_load_abc_ini():
     assert cfg.est.threshold_mode == "quantile" and cfg.est.q == 0.05
     assert cfg.scales == (3, 4, 5, 6)
     assert cfg.replicates == 500 and cfg.seed == 20260814
-    assert cfg.out == os.path.join(cfg.base_dir, "out", "abc")
+    assert cfg.out == os.path.join(os.path.abspath(CONFIGS), "out", "abc")
 
 
 def test_load_fullsky_ini():
@@ -70,7 +70,6 @@ def test_defaults_on_minimal_config(tmp_path):
     assert cfg.scales == (3, 4, 5, 6)
     assert cfg.replicates == 500 and cfg.seed == 0 and cfg.order_cap == 512
     assert cfg.out == os.path.join(str(tmp_path), "out")
-    assert cfg.write_maps is False
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -108,8 +107,18 @@ def test_bad_values_rejected(tmp_path):
         load_config(write(tmp_path, "[estimator]\npilot = soon\n"))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "[scenario]\nschedule = A0-4\n"))
+    with pytest.raises(ConfigError, match="LO exceeds HI"):
+        load_config(write(tmp_path, "[scenario]\nschedule = A:3-1\n"))
+    with pytest.raises(ConfigError, match="two schedule ranges"):
+        load_config(write(tmp_path, "[scenario]\nschedule = A:0-2, B:2-4\n"))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "[scenario]\nbeam_l = 5x32\n"))
+    with pytest.raises(ConfigError, match="nonnegative"):
+        load_config(write(tmp_path, "[scenario]\nbeam_l = 2:-3\n"))
+    with pytest.raises(ConfigError, match="more than once"):
+        load_config(write(tmp_path, "[scenario]\nbeam_l = 5:32, 5:16\n"))
+    with pytest.raises(ConfigError, match="beam must be one of"):
+        load_config(write(tmp_path, "[scenario]\nbeam = cosin\n"))
     with pytest.raises(ConfigError, match="needs a path"):
         load_config(write(tmp_path, "[scenario]\nschedule = A:0-1\n[mask.A]\nkind = file\n"))
     with pytest.raises(ConfigError):

